@@ -36,12 +36,12 @@ const (
 // response-body stalls past the headers.
 const defaultProxyTimeout = 2 * time.Minute
 
-// defaultProxyAttemptTimeout bounds one proxy attempt end to end. A
-// dead peer fails at connect within milliseconds; this bound is for the
-// worse case of a hung peer, and is short enough that walking the whole
+// proxyAttemptTimeout bounds one proxy attempt end to end. A dead peer
+// fails at connect within milliseconds; this bound is for the worse
+// case of a hung peer, and is short enough that walking the whole
 // replica list and falling back to local compute still beats the old
 // flat 2-minute wait by an order of magnitude.
-const defaultProxyAttemptTimeout = 15 * time.Second
+const proxyAttemptTimeout = 15 * time.Second
 
 // routeLabel names the replica slot that answered.
 func routeLabel(i int) string {
@@ -49,12 +49,6 @@ func routeLabel(i int) string {
 		return "primary"
 	}
 	return fmt.Sprintf("replica-%d", i)
-}
-
-// breakerFor returns the circuit breaker guarding a peer (nil for self
-// or unknown addresses).
-func (s *Server) breakerFor(peer string) *breaker {
-	return s.breakers[peer]
 }
 
 // proxyScale forwards a scale request along the fingerprint's replica
@@ -84,12 +78,11 @@ func (s *Server) proxyScale(w http.ResponseWriter, r *http.Request, req *api.Sca
 		if owner == s.self {
 			continue
 		}
-		br := s.breakerFor(owner)
-		if br != nil && !br.Allow() {
+		if !s.peers.allow(owner) {
 			m.Counter("service_proxy", obs.L("result", "breaker_open")).Inc()
 			continue
 		}
-		switch s.proxyAttempt(w, r, body.String(), id, owner, i, br) {
+		switch s.proxyAttempt(w, r, body.String(), id, owner, i) {
 		case proxyOK:
 			return true
 		case proxyClientGone:
@@ -114,9 +107,9 @@ const (
 // proxyAttempt issues one proxied scale request to one replica and, on
 // success, relays its answer. Failures feed the replica's breaker
 // unless the true cause is our own client disconnecting.
-func (s *Server) proxyAttempt(w http.ResponseWriter, r *http.Request, body, id, owner string, slot int, br *breaker) proxyOutcome {
+func (s *Server) proxyAttempt(w http.ResponseWriter, r *http.Request, body, id, owner string, slot int) proxyOutcome {
 	m := s.obs.Metrics()
-	ctx, cancel := context.WithTimeout(r.Context(), s.proxyAttemptTimeout)
+	ctx, cancel := context.WithTimeout(r.Context(), proxyAttemptTimeout)
 	defer cancel()
 	preq, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		"http://"+owner+"/v1/scale", strings.NewReader(body))
@@ -131,39 +124,29 @@ func (s *Server) proxyAttempt(w http.ResponseWriter, r *http.Request, body, id, 
 			preq.Header.Set(h, v)
 		}
 	}
+	failed := func(msg string, attrs ...any) proxyOutcome {
+		s.peers.proxied(owner, false)
+		m.Counter("service_proxy", obs.L("result", "fallback")).Inc()
+		if s.logger != nil {
+			s.logger.Warn(msg, append([]any{"owner", owner, "slot", slot, "decision_id", id}, attrs...)...)
+		}
+		return proxyFailed
+	}
 	resp, err := s.proxy.Do(preq)
 	if err != nil {
 		if r.Context().Err() != nil {
 			return proxyClientGone
 		}
-		if br != nil {
-			br.Failure()
-		}
-		m.Counter("service_proxy", obs.L("result", "fallback")).Inc()
-		if s.logger != nil {
-			s.logger.Warn("proxy to replica failed",
-				"owner", owner, "slot", slot, "decision_id", id, "err", err.Error())
-		}
-		return proxyFailed
+		return failed("proxy to replica failed", "err", err.Error())
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 500 {
 		io.Copy(io.Discard, resp.Body)
-		if br != nil {
-			br.Failure()
-		}
-		m.Counter("service_proxy", obs.L("result", "fallback")).Inc()
-		if s.logger != nil {
-			s.logger.Warn("replica answered 5xx",
-				"owner", owner, "slot", slot, "decision_id", id, "status", resp.StatusCode)
-		}
-		return proxyFailed
+		return failed("replica answered 5xx", "status", resp.StatusCode)
 	}
 	// The peer answered: whatever the status (200, 404, even 429), it is
 	// alive — close its breaker.
-	if br != nil {
-		br.Success()
-	}
+	s.peers.proxied(owner, true)
 
 	h := w.Header()
 	h.Set("Content-Type", "application/json")

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -62,8 +63,8 @@ func startClusterCfg(t *testing.T, size int, configure func(i int, cfg *Config))
 			Peers:    peers,
 			// Membership stays static: these tests exercise the breaker
 			// and proxy fallback paths, which must work during the window
-			// before any probe verdict lands.
-			DisableProber: true,
+			// before any probe verdict lands, so no probe fires.
+			ProbeInterval: time.Hour,
 		}
 		if configure != nil {
 			configure(i, &cfg)

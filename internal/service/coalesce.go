@@ -60,14 +60,17 @@ func (r *flightRef) leave() {
 }
 
 // flightFor returns the flight for a fingerprint and whether the caller
-// is its leader, registering the caller as a subscriber either way. The
-// returned ref must be released with leave (the handler defers it; a
-// client disconnect triggers it early through AfterFunc).
+// is its leader, registering the caller as a subscriber either way. A
+// flight whose subscribers have all left is already canceled and only
+// waiting for its leader to publish the cancellation; a new request
+// starts a fresh flight instead of inheriting that error. The returned
+// ref must be released with leave (the handler defers it; a client
+// disconnect triggers it early through AfterFunc).
 func (s *Server) flightFor(id string, rctx context.Context) (*flight, *flightRef, bool) {
 	s.fmu.Lock()
 	f, ok := s.flights[id]
-	leader := !ok
-	if !ok {
+	leader := !ok || f.ctx.Err() != nil
+	if leader {
 		ctx, cancel := context.WithCancel(context.Background())
 		f = &flight{id: id, ctx: ctx, cancel: cancel, done: make(chan struct{})}
 		s.flights[id] = f
@@ -94,7 +97,9 @@ func (s *Server) flightDone(f *flight, body []byte, trace []byte, err error) {
 			s.store(f.id, body, trace)
 		}
 		s.fmu.Lock()
-		delete(s.flights, f.id)
+		if s.flights[f.id] == f {
+			delete(s.flights, f.id)
+		}
 		s.fmu.Unlock()
 		close(f.done)
 		f.cancel()

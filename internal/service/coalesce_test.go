@@ -158,6 +158,35 @@ func TestCoalesceCancelWhenAllSubscribersLeave(t *testing.T) {
 	}
 }
 
+// A request arriving after every subscriber of a flight has left must
+// not inherit that flight's cancellation: it leads a fresh flight, and
+// the dying flight's late publish leaves the fresh one indexed.
+func TestCanceledFlightIsNotJoined(t *testing.T) {
+	srv, _ := newTestServer(t, Config{})
+	const id = "00000000000000aa"
+	f1, ref1, leader := srv.flightFor(id, context.Background())
+	if !leader {
+		t.Fatal("first request did not lead its flight")
+	}
+	ref1.leave()
+	if f1.ctx.Err() == nil {
+		t.Fatal("flight not canceled after its last subscriber left")
+	}
+	f2, ref2, leader := srv.flightFor(id, context.Background())
+	defer srv.flightDone(f2, nil, nil, context.Canceled)
+	defer ref2.leave()
+	if !leader || f2 == f1 {
+		t.Fatal("new request joined a canceled flight")
+	}
+	srv.flightDone(f1, nil, nil, context.Canceled)
+	srv.fmu.Lock()
+	indexed := srv.flights[id]
+	srv.fmu.Unlock()
+	if indexed != f2 {
+		t.Error("the canceled flight's publish dropped its successor from the index")
+	}
+}
+
 // The decision LRU must stay consistent when many flights complete and
 // evict concurrently (run under -race). Store/evict/lookup from many
 // goroutines, including duplicate ids racing like coalesced

@@ -264,9 +264,9 @@ func TestWarmRestartFromJournal(t *testing.T) {
 }
 
 // A probe-detected death advances the membership epoch, shrinks the
-// effective ring, and forces the peer's breaker open; recovery reverses
-// all three. Driven through onPeerChange directly — the prober's own
-// state machine has its own tests.
+// effective ring, and opens the peer's breaker; recovery reverses all
+// three. Driven through the peer record's observe directly — the probe
+// loop has its own tests.
 func TestPeerChangeUpdatesViewAndBreaker(t *testing.T) {
 	nodes := startCluster(t, 3)
 	srv := nodes[0].srv
@@ -275,7 +275,9 @@ func TestPeerChangeUpdatesViewAndBreaker(t *testing.T) {
 		t.Fatalf("initial epoch = %d", srv.view.Epoch())
 	}
 
-	srv.onPeerChange(peer, false)
+	for i := 0; i < defaultProbeFall; i++ {
+		srv.peers.observe(peer, false)
+	}
 	if e := srv.view.Epoch(); e != 2 {
 		t.Errorf("epoch after death = %d, want 2", e)
 	}
@@ -285,21 +287,79 @@ func TestPeerChangeUpdatesViewAndBreaker(t *testing.T) {
 	if srv.view.Ring().Contains(peer) {
 		t.Error("dead peer still on the effective ring")
 	}
-	if st := srv.breakerFor(peer).State(); st != breakerOpen {
+	if st := breakerOf(srv.peers, peer); st != breakerOpen {
 		t.Errorf("breaker after probe-down = %v, want open", st)
 	}
 	if g := nodes[0].obs.Metrics().Gauge("service_cluster_epoch").Value(); g != 2 {
 		t.Errorf("service_cluster_epoch = %v, want 2", g)
 	}
 
-	srv.onPeerChange(peer, true)
+	for i := 0; i < defaultProbeRise; i++ {
+		srv.peers.observe(peer, true)
+	}
 	if e := srv.view.Epoch(); e != 3 {
 		t.Errorf("epoch after recovery = %d, want 3", e)
 	}
 	if !srv.view.Ring().Contains(peer) {
 		t.Error("recovered peer missing from the effective ring")
 	}
-	if st := srv.breakerFor(peer).State(); st != breakerClosed {
+	if st := breakerOf(srv.peers, peer); st != breakerClosed {
 		t.Errorf("breaker after probe-up = %v, want closed", st)
+	}
+}
+
+// A peer whose breaker is open is skipped, and counted, by both the
+// proxy walk and the replica warm push. For a fingerprint owned by
+// [B, A], A's breaker for B trips on three proxy failures; the request
+// then reaches A, which skips B, computes locally at its replica slot,
+// and skips B again when it warms the replica set. B is never dialed.
+func TestOpenBreakerSkipsProxyAndWarm(t *testing.T) {
+	nodes := startClusterCfg(t, 3, func(i int, cfg *Config) {
+		cfg.Replication = 2
+	})
+	byAddr := map[string]*clusterNode{}
+	for _, n := range nodes {
+		byAddr[n.addr] = n
+	}
+	reqBody := `{"benchmark":"veccombine","toq":0.9}`
+	id := fingerprintFor(t, nodes[0], reqBody)
+	owners := nodes[0].srv.view.Ring().OwnerN(id, 2)
+	b, a := byAddr[owners[0]], byAddr[owners[1]]
+	warmed := make(chan string, 1)
+	a.srv.testWarmed = func(id string) { warmed <- id }
+
+	for i := 0; i < defaultBreakerThreshold; i++ {
+		a.srv.peers.proxied(b.addr, false)
+	}
+	am, bm := a.obs.Metrics(), b.obs.Metrics()
+	bScale := bm.Counter("service_requests", obs.L("endpoint", "scale")).Value()
+	if g := am.Gauge("service_breaker_state", obs.L("peer", b.addr)).Value(); g != float64(breakerOpen) {
+		t.Fatalf("service_breaker_state = %v after %d failures, want %d", g, defaultBreakerThreshold, breakerOpen)
+	}
+
+	resp, _ := postScaleURL(t, a.url(), reqBody)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+		t.Fatalf("status %d, X-Cache %q; want a local miss", resp.StatusCode, resp.Header.Get("X-Cache"))
+	}
+	if route := resp.Header.Get("X-Cluster-Route"); route != "replica-1" {
+		t.Errorf("X-Cluster-Route = %q, want replica-1", route)
+	}
+	if got := <-warmed; got != id {
+		t.Fatalf("warmed id = %s, want %s", got, id)
+	}
+	if v := am.Counter("service_proxy", obs.L("result", "breaker_open")).Value(); v != 1 {
+		t.Errorf(`service_proxy{result="breaker_open"} = %v, want 1`, v)
+	}
+	if v := am.Counter("service_warm", obs.L("result", "skipped")).Value(); v != 1 {
+		t.Errorf(`service_warm{result="skipped"} = %v, want 1`, v)
+	}
+	if v := am.Counter("service_warm", obs.L("result", "sent")).Value(); v != 0 {
+		t.Errorf(`service_warm{result="sent"} = %v, want 0`, v)
+	}
+	if v := bm.Counter("service_requests", obs.L("endpoint", "scale")).Value(); v != bScale {
+		t.Errorf("skipped peer served %v scale requests during the walk, want 0", v-bScale)
+	}
+	if v := bm.Counter("service_requests", obs.L("endpoint", "warm")).Value(); v != 0 {
+		t.Errorf("skipped peer received %v warm pushes, want 0", v)
 	}
 }

@@ -12,6 +12,7 @@
 //	GET  /v1/decisions/{id}         re-fetch a completed Decision
 //	GET  /v1/decisions/{id}/trace   wall-clock Chrome trace of the search
 //	GET  /v1/decisions/{id}/events  live decision progress over SSE
+//	POST /v1/decisions/{id}/warm    replica cache push (fleet-internal)
 //	POST /v1/sessions               create a session (cold search, gen 1)
 //	GET  /v1/sessions/{id}          session document + current decision
 //	POST /v1/sessions/{id}/evaluate execute a batch; report drift; may re-scale
@@ -79,6 +80,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -121,33 +123,17 @@ type Config struct {
 	// fail over through the replica list when the primary is down.
 	// Ignored outside a cluster.
 	Replication int
-	// ProxyClient issues proxied scale requests to peer nodes; nil
-	// selects a default client. Each proxy attempt additionally runs
-	// under ProxyAttemptTimeout.
-	ProxyClient *http.Client
-	// ProxyAttemptTimeout bounds one proxied attempt to one replica; 0
-	// selects 15s. Failing attempts walk the replica list, so this is
-	// the worst-case cost of a hung (not dead — dead fails at connect)
-	// peer per request.
-	ProxyAttemptTimeout time.Duration
 	// ProbeInterval paces the active peer health prober in a cluster; 0
 	// selects 2s. Probes feed the liveness overlay of the membership
 	// view (dead peers leave the effective ring within roughly one
 	// interval) and the per-peer circuit breakers.
 	ProbeInterval time.Duration
-	// DisableProber turns off the active health prober (tests that want
-	// deterministic membership drive SetAlive themselves). Breakers
-	// still learn from proxy failures.
-	DisableProber bool
 	// PersistDir, when non-empty, enables the crash-safe decision
 	// journal: completed decisions are appended (checksummed, fsync'd
 	// off the hot path) under this directory and replayed into the LRU
 	// at startup, so a restarted node serves its hot set as cache hits
 	// instead of re-searching.
 	PersistDir string
-	// PersistMaxWAL is the WAL size (bytes) beyond which the journal is
-	// compacted into a snapshot; 0 selects 8 MiB.
-	PersistMaxWAL int64
 	// CacheSize is the decision LRU capacity in entries; 0 selects 128.
 	CacheSize int
 	// Obs receives the service metrics (request counters, cache
@@ -195,16 +181,13 @@ type Server struct {
 	queueWait     *obs.Histogram // service_queue_wait_seconds, slot waits
 	searchSeconds *obs.Histogram // service_search_seconds, drives deadline shedding
 
-	view                *cluster.View // nil outside a cluster
-	self                string        // this node's ring identity
-	replication         int           // ring owners per fingerprint
-	proxy               *http.Client  // issues proxied scale requests
-	proxyAttemptTimeout time.Duration
-	warmClient          *http.Client        // pushes decisions to replicas
-	breakers            map[string]*breaker // per peer
-	prober              *prober             // nil outside a cluster or when disabled
-	epochGauge          *obs.Gauge          // service_cluster_epoch
-	journal             *journal            // nil without PersistDir
+	view        *cluster.View // nil outside a cluster
+	self        string        // this node's ring identity
+	replication int           // ring owners per fingerprint
+	proxy       *http.Client  // issues proxied scale requests
+	warmClient  *http.Client  // pushes decisions to replicas
+	peers       *peerHealth   // per-peer verdict + breaker; nil outside a cluster
+	journal     *journal      // nil without PersistDir
 
 	mu     sync.Mutex
 	bases  map[string]*core.Framework // per system preset, inspected once
@@ -331,43 +314,14 @@ func New(cfg Config) (*Server, error) {
 		if s.replication < 0 {
 			return nil, fmt.Errorf("service: negative Replication %d", cfg.Replication)
 		}
-		s.proxy = cfg.ProxyClient
-		if s.proxy == nil {
-			s.proxy = &http.Client{Timeout: defaultProxyTimeout}
-		}
-		s.proxyAttemptTimeout = cfg.ProxyAttemptTimeout
-		if s.proxyAttemptTimeout <= 0 {
-			s.proxyAttemptTimeout = defaultProxyAttemptTimeout
-		}
+		s.proxy = &http.Client{Timeout: defaultProxyTimeout}
 		s.warmClient = &http.Client{Timeout: defaultWarmTimeout}
-		s.epochGauge = o.Metrics().Gauge("service_cluster_epoch")
-		s.epochGauge.Set(float64(view.Epoch()))
-		s.breakers = map[string]*breaker{}
-		for _, peer := range cfg.Peers {
-			if peer == cfg.Self {
-				continue
-			}
-			s.breakers[peer] = newBreaker(
-				o.Metrics().Gauge("service_breaker_state", obs.L("peer", peer)))
-		}
-		if !cfg.DisableProber {
-			peers := make([]string, 0, len(s.breakers))
-			for peer := range s.breakers {
-				peers = append(peers, peer)
-			}
-			sort.Strings(peers)
-			s.prober = newProber(peers, cfg.ProbeInterval, nil, s.onPeerChange,
-				o.Metrics(), cfg.Logger)
-			s.prober.Start()
-		}
+		s.peers = newPeerHealth(view, cfg.Self, cfg.ProbeInterval, o.Metrics(), cfg.Logger)
 	}
 	if cfg.PersistDir != "" {
-		j, records, err := openJournal(cfg.PersistDir, cfg.PersistMaxWAL,
+		j, records, err := openJournal(cfg.PersistDir, defaultMaxWAL,
 			s.persistSnapshot, o.Metrics(), cfg.Logger)
 		if err != nil {
-			if s.prober != nil {
-				s.prober.Stop()
-			}
 			return nil, err
 		}
 		// Replay before the journal is wired into store(), so replayed
@@ -392,6 +346,9 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.journal = j
 	}
+	if s.peers != nil {
+		s.peers.start()
+	}
 	s.mux = s.buildMux()
 	s.handler = s.mux
 	if !cfg.DisableTelemetry {
@@ -409,36 +366,11 @@ func (s *Server) Handler() http.Handler { return s.handler }
 // stops, and the decision journal drains its queue and compacts a final
 // snapshot. Call after the HTTP server has shut down.
 func (s *Server) Close() error {
-	if s.prober != nil {
-		s.prober.Stop()
-	}
+	s.peers.stop()
 	if s.journal != nil {
 		return s.journal.Close()
 	}
 	return nil
-}
-
-// onPeerChange is the prober's verdict callback: fold the liveness
-// transition into the membership view (rebuilding the effective ring
-// and advancing the epoch) and force the peer's breaker to match, so a
-// probe-detected death stops proxy attempts within one interval even on
-// nodes that never dialed the peer.
-func (s *Server) onPeerChange(peer string, up bool) {
-	if s.view.SetAlive(peer, up) {
-		s.epochGauge.Set(float64(s.view.Epoch()))
-		if s.logger != nil {
-			s.logger.Warn("cluster membership changed",
-				"peer", peer, "up", up, "epoch", s.view.Epoch(),
-				"live", strings.Join(s.view.Live(), ","))
-		}
-	}
-	if br := s.breakerFor(peer); br != nil {
-		if up {
-			br.ForceClose()
-		} else {
-			br.ForceOpen()
-		}
-	}
 }
 
 // routeFor labels a locally answered response with this node's replica
@@ -446,10 +378,8 @@ func (s *Server) onPeerChange(peer string, up bool) {
 // a node outside the replica set serving a body it computed during an
 // earlier fallback), so load generators can count failover traffic.
 func (s *Server) routeFor(id string) string {
-	for i, o := range s.view.Ring().OwnerN(id, s.replication) {
-		if o == s.self {
-			return routeLabel(i)
-		}
+	if i := slices.Index(s.view.Ring().OwnerN(id, s.replication), s.self); i >= 0 {
+		return routeLabel(i)
 	}
 	return "fallback"
 }
@@ -703,13 +633,7 @@ func (s *Server) handleScale(w http.ResponseWriter, r *http.Request) {
 	// compute produces the byte-identical body.
 	if s.view != nil && r.Header.Get(headerForwarded) == "" {
 		owners := s.view.Ring().OwnerN(job.id, s.replication)
-		selfSlot := -1
-		for i, o := range owners {
-			if o == s.self {
-				selfSlot = i
-				break
-			}
-		}
+		selfSlot := slices.Index(owners, s.self)
 		switch {
 		case selfSlot == 0:
 			w.Header().Set(headerClusterRoute, routeLabel(0))
@@ -760,9 +684,8 @@ func (s *Server) handleScale(w http.ResponseWriter, r *http.Request) {
 		s.shed(w, m, f, rt, se)
 		return
 	}
-	qWall := rt.now()
-	qStart := time.Now()
-	if err := s.admit.Acquire(f.ctx, clientID(r), s.p99Search); err != nil {
+	_, body, err := s.search(f.ctx, clientID(r), job, rt, nil)
+	if err != nil {
 		var se *shedError
 		if errors.As(err, &se) {
 			s.shed(w, m, f, rt, se)
@@ -773,24 +696,6 @@ func (s *Server) handleScale(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	defer s.admit.Release()
-	s.queueWait.Observe(time.Since(qStart).Seconds())
-	rt.queueWaited(qWall)
-	if s.testSearchStarted != nil {
-		s.testSearchStarted(f.ctx, job.w.Name)
-	}
-
-	searchStart := time.Now()
-	body, err := s.runSearch(f.ctx, job, rt)
-	s.searchSeconds.Observe(time.Since(searchStart).Seconds())
-	if err != nil {
-		m.Counter("service_searches", obs.L("result", resultLabel(err))).Inc()
-		rt.fail(err)
-		s.flightDone(f, nil, nil, err)
-		s.writeError(w, err)
-		return
-	}
-	m.Counter("service_searches", obs.L("result", "ok")).Inc()
 	s.cmu.Lock()
 	s.misses++
 	s.cmu.Unlock()
@@ -859,20 +764,43 @@ func deadlineMs(r *http.Request) int {
 	return ms
 }
 
-// runSearch executes the decision search for a prepared job on a clone
-// of the base framework and renders the canonical decision body. The
-// body is a pure function of the search result — no ids, timestamps,
-// or cache state — which keeps it byte-identical to cmd/prescaler
-// -json for the same workload and options.
-func (s *Server) runSearch(ctx context.Context, job *scaleJob, rt *reqTelemetry) ([]byte, error) {
-	_, body, err := s.runScaled(ctx, job, rt, nil)
-	return body, err
+// search is the one way a decision search runs: it takes a worker slot
+// from the admission controller (queued fairly under client), records
+// the queue wait and the search time, counts the outcome in
+// service_searches, and releases the slot. /v1/scale, session create
+// and session re-scale all go through it. A shed or cancelled
+// admission returns its error without a search.
+func (s *Server) search(ctx context.Context, client string, job *scaleJob, rt *reqTelemetry, seed *scaler.Seed) (*core.ScaledProgram, []byte, error) {
+	qWall := rt.now()
+	qStart := time.Now()
+	if err := s.admit.Acquire(ctx, client, s.p99Search); err != nil {
+		return nil, nil, err
+	}
+	defer s.admit.Release()
+	s.queueWait.Observe(time.Since(qStart).Seconds())
+	rt.queueWaited(qWall)
+	if s.testSearchStarted != nil {
+		s.testSearchStarted(ctx, job.w.Name)
+	}
+	start := time.Now()
+	sp, body, err := s.runScaled(ctx, job, rt, seed)
+	s.searchSeconds.Observe(time.Since(start).Seconds())
+	result := "ok"
+	if err != nil {
+		result = resultLabel(err)
+	}
+	s.obs.Metrics().Counter("service_searches", obs.L("result", result)).Inc()
+	return sp, body, err
 }
 
-// runScaled is runSearch plus the scaled program itself, which the
-// session layer needs to execute batches under the chosen config. A
-// non-nil seed warm-starts the search from a previous generation; the
-// cold path (nil seed) is bit-for-bit the pre-session search.
+// runScaled executes the decision search for a prepared job on a clone
+// of the base framework and renders the canonical decision body,
+// returning the scaled program too (the session layer executes batches
+// under its config). The body is a pure function of the search result
+// — no ids, timestamps, or cache state — which keeps it byte-identical
+// to cmd/prescaler -json for the same workload and options. A non-nil
+// seed warm-starts the search from a previous generation; the cold path
+// (nil seed) is bit-for-bit the pre-session search.
 func (s *Server) runScaled(ctx context.Context, job *scaleJob, rt *reqTelemetry, seed *scaler.Seed) (*core.ScaledProgram, []byte, error) {
 	fw := job.fw.Clone()
 	sys := fw.System()
@@ -996,21 +924,13 @@ func (s *Server) Health() map[string]any {
 		"search_time":        latencySummary(s.searchSeconds),
 	}
 	if s.view != nil {
-		peers := map[string]any{}
-		for peer, br := range s.breakers {
-			up := true
-			if s.prober != nil {
-				up = s.prober.Up(peer)
-			}
-			peers[peer] = map[string]any{"up": up, "breaker": br.State().String()}
-		}
 		h["cluster"] = map[string]any{
 			"self":        s.self,
 			"nodes":       s.view.Seed(),
 			"live":        s.view.Live(),
 			"epoch":       s.view.Epoch(),
 			"replication": s.replication,
-			"peers":       peers,
+			"peers":       s.peers.report(),
 		}
 	}
 	if s.journal != nil {

@@ -113,21 +113,11 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	ctx := r.Context()
-	if err := s.admit.Acquire(ctx, clientID(r), s.p99Search); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	searchStart := time.Now()
-	sp, body, err := s.runScaled(ctx, job, nil, nil)
-	s.admit.Release()
-	s.searchSeconds.Observe(time.Since(searchStart).Seconds())
+	sp, body, err := s.search(r.Context(), clientID(r), job, nil, nil)
 	if err != nil {
-		m.Counter("service_searches", obs.L("result", resultLabel(err))).Inc()
 		s.writeError(w, err)
 		return
 	}
-	m.Counter("service_searches", obs.L("result", "ok")).Inc()
 	s.store(job.id, body, nil)
 
 	sess, err := s.newSession(req, job, sp, body)
@@ -158,50 +148,83 @@ func (s *Server) newSession(req *api.SessionRequest, job *scaleJob, sp *core.Sca
 	if req.TTLSeconds > 0 {
 		ttl = time.Duration(req.TTLSeconds) * time.Second
 	}
-	threshold := req.DriftThreshold
-	if threshold == 0 {
-		threshold = defaultDriftThreshold
-	}
 	sysName := req.System
 	if sysName == "" {
 		sysName = "system1"
 	}
-	runFw := job.fw.Clone()
-	runFw.System().Faults = job.spec
-	sess := &session{
-		id:        s.nextSessionID(),
-		bench:     req.Benchmark,
-		sysName:   sysName,
-		w:         job.w,
-		baseFw:    job.fw,
-		runFw:     runFw,
-		spec:      job.spec,
-		faults:    req.Faults,
-		faultSeed: req.FaultSeed,
-		retries:   job.opts.Retries,
-		toq:       job.opts.TOQ,
-		threshold: threshold,
-		ttl:       ttl,
-		cache:     job.cache,
-
-		set:        job.opts.InputSet,
-		generation: 1,
-		reason:     "initial",
-		trials:     sp.Search.Trials,
-		cfg:        sp.Config,
-		body:       body,
-
-		curStats: map[string]*prog.RunningStats{},
-		refs:     map[prog.InputSet]*prog.Result{},
-		lastUsed: s.now(),
-	}
+	sess := s.buildSession(&sessionSnapshot{
+		ID:             s.nextSessionID(),
+		Benchmark:      req.Benchmark,
+		System:         sysName,
+		TOQ:            job.opts.TOQ,
+		Faults:         req.Faults,
+		FaultSeed:      req.FaultSeed,
+		Retries:        job.opts.Retries,
+		DriftThreshold: req.DriftThreshold,
+		Generation:     1,
+		Reason:         "initial",
+		Trials:         sp.Search.Trials,
+		RefStats:       inputStats(job.w, job.opts.InputSet, nil),
+		Body:           body,
+	}, job.w, job.fw, job.spec, job.opts.InputSet, sp.Config, ttl, s.now())
 	ref, err := sess.reference(sess.set)
 	if err != nil {
 		return nil, err
 	}
 	sess.objErr = prog.ObjectErrors(sess.w, ref.Ops, ref, sp.Search.Final)
-	sess.refStats = inputStats(sess.w, sess.set)
 	return sess, nil
+}
+
+// buildSession is the one session constructor, shared by create and
+// journal restore. snap carries the plain fields; the arguments are
+// what the caller resolved from them — workload, base framework, fault
+// spec, input set and config — plus the idle TTL and last use at full
+// resolution (the snapshot keeps whole seconds).
+func (s *Server) buildSession(snap *sessionSnapshot, w *prog.Workload, fw *core.Framework, spec *fault.Spec,
+	set prog.InputSet, cfg *prog.Config, ttl time.Duration, lastUsed time.Time) *session {
+	runFw := fw.Clone()
+	runFw.System().Faults = spec
+	sess := &session{
+		id:        snap.ID,
+		bench:     snap.Benchmark,
+		sysName:   snap.System,
+		w:         w,
+		baseFw:    fw,
+		runFw:     runFw,
+		spec:      spec,
+		faults:    snap.Faults,
+		faultSeed: snap.FaultSeed,
+		retries:   snap.Retries,
+		toq:       snap.TOQ,
+		threshold: snap.DriftThreshold,
+		ttl:       ttl,
+
+		set:        set,
+		generation: snap.Generation,
+		reason:     snap.Reason,
+		trials:     snap.Trials,
+		cfg:        cfg,
+		body:       snap.Body,
+
+		objErr:   snap.ObjErr,
+		refStats: snap.RefStats,
+		curStats: snap.CurStats,
+		refs:     map[prog.InputSet]*prog.Result{},
+		lastUsed: lastUsed,
+	}
+	if spec == nil {
+		sess.cache = s.evalCache(snap.System, w.Name)
+	}
+	if sess.threshold == 0 {
+		sess.threshold = defaultDriftThreshold
+	}
+	if sess.refStats == nil {
+		sess.refStats = map[string]*prog.RunningStats{}
+	}
+	if sess.curStats == nil {
+		sess.curStats = map[string]*prog.RunningStats{}
+	}
+	return sess
 }
 
 // handleSessionGet is GET /v1/sessions/{id}.
@@ -283,18 +306,7 @@ func (s *Server) evaluateLocked(ctx context.Context, sess *session, set prog.Inp
 	// Fold the batch into the running statistics and keep the batch's own
 	// stats: a re-scale rebases the reference onto the batch it was
 	// triggered by.
-	batch := map[string]*prog.RunningStats{}
-	for name, data := range sess.w.MakeInputs(set) {
-		st := &prog.RunningStats{}
-		st.ObserveSlice(data)
-		batch[name] = st
-		cur := sess.curStats[name]
-		if cur == nil {
-			cur = &prog.RunningStats{}
-			sess.curStats[name] = cur
-		}
-		cur.ObserveSlice(data)
-	}
+	batch := inputStats(sess.w, set, sess.curStats)
 	ref, err := sess.reference(set)
 	if err != nil {
 		return nil, err
@@ -373,13 +385,7 @@ func (s *Server) rescaleLocked(ctx context.Context, sess *session, set prog.Inpu
 	}
 	job := &scaleJob{fw: sess.baseFw, w: sess.w, opts: opts, spec: sess.spec, cache: sess.cache}
 	seed := &scaler.Seed{Config: sess.cfg, ObjErr: sess.objErr}
-	if err := s.admit.Acquire(ctx, "session/"+sess.id, s.p99Search); err != nil {
-		return err
-	}
-	start := time.Now()
-	sp, body, err := s.runScaled(ctx, job, nil, seed)
-	s.admit.Release()
-	s.searchSeconds.Observe(time.Since(start).Seconds())
+	sp, body, err := s.search(ctx, "session/"+sess.id, job, nil, seed)
 	if err != nil {
 		return err
 	}
@@ -588,13 +594,20 @@ func (sess *session) reference(set prog.InputSet) (*prog.Result, error) {
 }
 
 // inputStats computes the running statistics of one generated batch,
-// keyed by input object.
-func inputStats(w *prog.Workload, set prog.InputSet) map[string]*prog.RunningStats {
+// keyed by input object, and folds the same batch into acc when it is
+// non-nil.
+func inputStats(w *prog.Workload, set prog.InputSet, acc map[string]*prog.RunningStats) map[string]*prog.RunningStats {
 	out := map[string]*prog.RunningStats{}
 	for name, data := range w.MakeInputs(set) {
 		st := &prog.RunningStats{}
 		st.ObserveSlice(data)
 		out[name] = st
+		if acc != nil {
+			if acc[name] == nil {
+				acc[name] = &prog.RunningStats{}
+			}
+			acc[name].ObserveSlice(data)
+		}
 	}
 	return out
 }
@@ -801,48 +814,7 @@ func (s *Server) restoreSession(rec persistRecord) {
 		}
 		cfg.Objects[name] = oc
 	}
-	runFw := fw.Clone()
-	runFw.System().Faults = spec
-	sess := &session{
-		id:        snap.ID,
-		bench:     snap.Benchmark,
-		sysName:   snap.System,
-		w:         w,
-		baseFw:    fw,
-		runFw:     runFw,
-		spec:      spec,
-		faults:    snap.Faults,
-		faultSeed: snap.FaultSeed,
-		retries:   snap.Retries,
-		toq:       snap.TOQ,
-		threshold: snap.DriftThreshold,
-		ttl:       ttl,
-
-		set:        set,
-		generation: snap.Generation,
-		reason:     snap.Reason,
-		trials:     snap.Trials,
-		cfg:        cfg,
-		body:       []byte(snap.Body),
-
-		objErr:   snap.ObjErr,
-		refStats: snap.RefStats,
-		curStats: snap.CurStats,
-		refs:     map[prog.InputSet]*prog.Result{},
-		lastUsed: lastUsed,
-	}
-	if spec == nil {
-		sess.cache = s.evalCache(snap.System, w.Name)
-	}
-	if sess.threshold == 0 {
-		sess.threshold = defaultDriftThreshold
-	}
-	if sess.refStats == nil {
-		sess.refStats = map[string]*prog.RunningStats{}
-	}
-	if sess.curStats == nil {
-		sess.curStats = map[string]*prog.RunningStats{}
-	}
+	sess := s.buildSession(&snap, w, fw, spec, set, cfg, ttl, lastUsed)
 	if seq, err := strconv.ParseUint(snap.ID[len(sessionIDPrefix):], 16, 64); err == nil && seq > s.sessSeq {
 		s.sessSeq = seq
 	}

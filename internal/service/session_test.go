@@ -484,3 +484,25 @@ func TestSessionJournalReplay(t *testing.T) {
 		t.Errorf("restarted server reissued session id %s", sess.ID)
 	}
 }
+
+// Session searches go through the same admission path as /v1/scale:
+// the cold create and the drift re-scale each count in
+// service_searches and observe service_queue_wait_seconds.
+func TestSessionSearchAccounting(t *testing.T) {
+	o := obs.New()
+	_, ts := newTestServer(t, Config{Obs: o})
+	sess, _ := createSession(t, ts, `{"benchmark":"veccombine","input_set":"random"}`)
+	if ev, _ := evaluate(t, ts, sess.ID, `{"input_set":"image"}`); !ev.Rescaled {
+		t.Fatalf("drifted evaluate did not re-scale: %+v", ev)
+	}
+	m := o.Metrics()
+	if v := m.Counter("service_searches", obs.L("result", "ok")).Value(); v != 2 {
+		t.Errorf(`service_searches{result="ok"} = %v, want 2`, v)
+	}
+	if n := m.Histogram("service_queue_wait_seconds", obs.DefaultLatencyBuckets).Count(); n != 2 {
+		t.Errorf("service_queue_wait_seconds count = %d, want 2", n)
+	}
+	if n := m.Histogram("service_search_seconds", obs.DefaultLatencyBuckets).Count(); n != 2 {
+		t.Errorf("service_search_seconds count = %d, want 2", n)
+	}
+}

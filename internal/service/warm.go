@@ -87,7 +87,7 @@ func (s *Server) warmReplicas(id string, body []byte) {
 		if owner == s.self {
 			continue
 		}
-		if br := s.breakerFor(owner); br != nil && br.State() == breakerOpen {
+		if s.peers.open(owner) {
 			m.Counter("service_warm", obs.L("result", "skipped")).Inc()
 			continue
 		}
